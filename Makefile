@@ -19,11 +19,16 @@
 #                     them; locally they skip with a note).
 #   make profile    — run the E18 hot-path experiment under the CPU and
 #                     heap profilers; inspect with `go tool pprof`.
+#   make loopbench-smoke — build the real-clock loopback benchmark
+#                     (its own module under loopbench/, outside
+#                     `go build ./...`) and run read-hot and
+#                     write-durable for 5 s each; fails unless each run
+#                     reports correct with no failed operation.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify build vet lint race bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 bench-matrix fuzz-smoke check-readme bench profile
+.PHONY: verify build vet lint race bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 bench-matrix fuzz-smoke check-readme bench profile loopbench-smoke
 
 verify: build vet lint race bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 bench-matrix fuzz-smoke check-readme
 
@@ -77,17 +82,22 @@ bench-matrix:
 	$(GO) run ./cmd/replsim -matrix -matrixout BENCH_matrix.json
 	@echo "wrote BENCH_matrix.json"
 
-# Short native-fuzz runs over the two untrusted-input decoders. The
-# checked-in corpora under testdata/fuzz/ replay in plain `go test`;
-# this target additionally mutates for FUZZTIME per target. The targets
-# live in different packages, so they fuzz in parallel; a failure in
-# either fails the smoke.
+# Short native-fuzz runs over the untrusted-input decoders: the wire
+# reader, merkle proofs, and the pledge and read-reply decoders (whose
+# fields key the verified-pledge caches). The checked-in corpora under
+# testdata/fuzz/ replay in plain `go test`; this target additionally
+# mutates for FUZZTIME per target. Two targets fuzz at a time, one per
+# package; a failure in any fails the smoke.
 fuzz-smoke:
 	@status=0; \
-	$(GO) test -run '^$$' -fuzz FuzzReaderFrame -fuzztime $(FUZZTIME) ./internal/wire/ & wpid=$$!; \
-	$(GO) test -run '^$$' -fuzz FuzzDecodeProof -fuzztime $(FUZZTIME) ./internal/merkle/ & mpid=$$!; \
-	wait $$wpid || status=1; \
-	wait $$mpid || status=1; \
+	$(GO) test -run '^$$' -fuzz FuzzReaderFrame -fuzztime $(FUZZTIME) ./internal/wire/ & apid=$$!; \
+	$(GO) test -run '^$$' -fuzz FuzzDecodeProof -fuzztime $(FUZZTIME) ./internal/merkle/ & bpid=$$!; \
+	wait $$apid || status=1; \
+	wait $$bpid || status=1; \
+	$(GO) test -run '^$$' -fuzz FuzzDecodePledge -fuzztime $(FUZZTIME) ./internal/core/ & apid=$$!; \
+	$(GO) test -run '^$$' -fuzz FuzzDecodeReadReply -fuzztime $(FUZZTIME) ./internal/core/ & bpid=$$!; \
+	wait $$apid || status=1; \
+	wait $$bpid || status=1; \
 	exit $$status
 
 # Every top-level internal/ package must be linked from the README's
@@ -106,3 +116,15 @@ bench:
 profile:
 	$(GO) run ./cmd/replsim -exp E18 -scale 4 -cpuprofile cpu.prof -memprofile mem.prof
 	@echo "wrote cpu.prof and mem.prof; inspect with: $(GO) tool pprof cpu.prof"
+
+# The real-clock loopback benchmark, run short: it compiles the
+# loopbench module and checks its correctness verdict on the two
+# benchmarked workloads. The last line of each run is its JSON result.
+loopbench-smoke:
+	@for w in read-hot write-durable; do \
+		out=$$(bash loopbench/run.sh --workload $$w --seconds 5 --trace 0) || { echo "$$out"; echo "loopbench $$w: run failed"; exit 1; }; \
+		last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "loopbench $$w: $$last"; \
+		printf '%s' "$$last" | grep -q '"correct":true' || { echo "$$out"; echo "loopbench $$w: not correct"; exit 1; }; \
+		printf '%s' "$$last" | grep -Eq '"failed":0[,}]' || { echo "$$out"; echo "loopbench $$w: failed operations"; exit 1; }; \
+	done

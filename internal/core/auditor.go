@@ -22,11 +22,16 @@ type AuditorStats struct {
 	PledgesSampled  uint64 // skipped by AuditSampleP sampling
 	PledgesLate     uint64 // arrived after the auditor left their version
 	PledgesBadSig   uint64
-	CacheHits       uint64
+	CacheHits       uint64 // query results served from the per-version cache
 	Mismatches      uint64 // lies detected
 	ReportsSent     uint64
 	VersionLagMax   uint64 // max (master version - auditor version) seen
 	BacklogMax      int    // max pending pledges seen
+	// PledgeCacheHits/Misses count verified-pledge cache consultations: a
+	// hit skips the signature check on a pledge byte-identical to one
+	// that already verified.
+	PledgeCacheHits   uint64
+	PledgeCacheMisses uint64
 }
 
 // AuditorConfig configures the auditor.
@@ -86,6 +91,8 @@ type Auditor struct {
 	masterV  uint64          // highest version committed by masters (observed)
 	marks    []versionMark   // version -> broadcast seq (archive truncation)
 	detected map[string]bool // slave pubs already reported
+
+	pledges *sigCache // verified-pledge cache (amortizes repeat VerifySig)
 }
 
 // NewAuditor creates the auditor over the initial content replica.
@@ -103,6 +110,7 @@ func NewAuditor(cfg AuditorConfig, rt sim.Runtime, dlr rpc.Dialer, initial *stor
 		pending:  make(map[uint64][]Pledge),
 		cache:    make(map[string]cryptoutil.Digest),
 		detected: make(map[string]bool),
+		pledges:  newSigCache(pledgeCacheSize),
 	}
 	// Ordered writes continue from the initial content version.
 	a.masterV = a.replica.Version()
@@ -138,8 +146,10 @@ func (a *Auditor) Stop() {
 // Stats returns a snapshot of the auditor's counters.
 func (a *Auditor) Stats() AuditorStats {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.stats
+	st := a.stats
+	a.mu.Unlock()
+	st.PledgeCacheHits, st.PledgeCacheMisses = a.pledges.stats()
+	return st
 }
 
 // Version returns the auditor replica's (lagging) content version.
@@ -364,9 +374,15 @@ func (a *Auditor) auditLoop() {
 // auditOne verifies a single pledge against the trusted replica.
 func (a *Auditor) auditOne(p Pledge) {
 	// Verify the slave signature: an unsigned/forged pledge cannot frame
-	// anyone and carries no information.
-	chargeCPU(a.cfg.CPU, a.cfg.Params.Costs.VerifySig)
-	if err := p.VerifySig(); err != nil {
+	// anyone and carries no information. A pledge byte-identical to one
+	// that already verified skips the signature check.
+	hit, err := a.pledges.verifyPledge(&p)
+	if hit {
+		chargeCPU(a.cfg.CPU, a.cfg.Params.Costs.CacheLookup)
+	} else {
+		chargeCPU(a.cfg.CPU, a.cfg.Params.Costs.VerifySig)
+	}
+	if err != nil {
 		a.mu.Lock()
 		a.stats.PledgesBadSig++
 		a.mu.Unlock()

@@ -42,6 +42,11 @@ type ClientStats struct {
 	// stamp, so hits replace full signature verifications.
 	StampCacheHits   uint64
 	StampCacheMisses uint64
+	// PledgeCacheHits/Misses count verified-pledge cache consultations:
+	// a hit skips the signature check on a pledge byte-identical to one
+	// that already verified (same slave, query, result and stamp).
+	PledgeCacheHits   uint64
+	PledgeCacheMisses uint64
 }
 
 // ClientConfig configures a client.
@@ -93,7 +98,10 @@ type Client struct {
 	// stamps caches verified master stamps: between content updates every
 	// read reply carries the same stamp, so repeat verifications are a
 	// cache hit instead of a signature check.
-	stamps *stampCache
+	stamps *sigCache
+	// pledges caches verified pledges: a repeated query under the same
+	// stamp brings back byte-identical pledge bytes.
+	pledges *sigCache
 }
 
 // NewClient creates a client; call Setup before reads or writes.
@@ -102,11 +110,12 @@ func NewClient(cfg ClientConfig, rt sim.Runtime, dlr rpc.Dialer) *Client {
 		cfg.KSlaves = 1
 	}
 	return &Client{
-		cfg:    cfg,
-		rt:     rt,
-		dlr:    dlr,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		stamps: newStampCache(0),
+		cfg:     cfg,
+		rt:      rt,
+		dlr:     dlr,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		stamps:  newSigCache(stampCacheSize),
+		pledges: newSigCache(pledgeCacheSize),
 	}
 }
 
@@ -116,6 +125,7 @@ func (c *Client) Stats() ClientStats {
 	defer c.mu.Unlock()
 	st := c.stats
 	st.StampCacheHits, st.StampCacheMisses = c.stamps.stats()
+	st.PledgeCacheHits, st.PledgeCacheMisses = c.pledges.stats()
 	return st
 }
 
@@ -548,7 +558,9 @@ func (c *Client) verifyReply(sl slaveAssignment, queryBytes []byte, reply ReadRe
 		c.mu.Unlock()
 		return fmt.Errorf("%w: pledge signed by unexpected key", errRetry)
 	}
-	if err := reply.Pledge.VerifySig(); err != nil {
+	// Only an exact repeat of a pledge that already verified skips the
+	// signature check; every other check below runs on every read.
+	if _, err := c.pledges.verifyPledge(&reply.Pledge); err != nil {
 		c.mu.Lock()
 		c.stats.BadPledges++
 		c.mu.Unlock()
@@ -563,7 +575,7 @@ func (c *Client) verifyReply(sl slaveAssignment, queryBytes []byte, reply ReadRe
 	c.mu.Lock()
 	masterPubs := append([]cryptoutil.PublicKey(nil), c.masterPubs...)
 	c.mu.Unlock()
-	if _, err := c.stamps.verify(&reply.Pledge.Stamp, masterPubs); err != nil {
+	if _, err := c.stamps.verifyStamp(&reply.Pledge.Stamp, masterPubs); err != nil {
 		c.mu.Lock()
 		c.stats.BadPledges++
 		c.mu.Unlock()

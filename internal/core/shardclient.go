@@ -269,6 +269,8 @@ func (sc *ShardedClient) Stats() (ShardedStats, ClientStats) {
 		cs.PledgesSent += s.PledgesSent
 		cs.StampCacheHits += s.StampCacheHits
 		cs.StampCacheMisses += s.StampCacheMisses
+		cs.PledgeCacheHits += s.PledgeCacheHits
+		cs.PledgeCacheMisses += s.PledgeCacheMisses
 	}
 	return st, cs
 }

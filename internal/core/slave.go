@@ -29,6 +29,11 @@ type SlaveStats struct {
 	// hit replaces an ed25519 verification with a hash lookup.
 	StampCacheHits   uint64
 	StampCacheMisses uint64
+	// PledgeCacheHits/Misses count pledge-signature memo consultations:
+	// a hit reuses the signature over byte-identical pledge bytes (the
+	// same query answered under the same stamp) instead of signing.
+	PledgeCacheHits   uint64
+	PledgeCacheMisses uint64
 }
 
 // SlaveConfig configures a slave server.
@@ -64,7 +69,8 @@ type Slave struct {
 	syncing   bool         // guarded by mu; single-flight: at most one syncFrom in progress
 	stats     SlaveStats   // guarded by mu
 
-	stamps *stampCache // verified-stamp cache (amortizes repeat Verify)
+	stamps  *sigCache // verified-stamp cache (amortizes repeat Verify)
+	pledges *sigCache // pledge-signature memo (amortizes repeat Sign)
 }
 
 // NewSlave creates a slave over an initial content replica (cloned).
@@ -73,12 +79,13 @@ func NewSlave(cfg SlaveConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.St
 		cfg.Behavior = Honest{}
 	}
 	return &Slave{
-		cfg:    cfg,
-		rt:     rt,
-		dlr:    dlr,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		store:  initial.Clone(),
-		stamps: newStampCache(0),
+		cfg:     cfg,
+		rt:      rt,
+		dlr:     dlr,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		store:   initial.Clone(),
+		stamps:  newSigCache(stampCacheSize),
+		pledges: newSigCache(pledgeCacheSize),
 	}
 }
 
@@ -88,6 +95,7 @@ func (s *Slave) Stats() SlaveStats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.StampCacheHits, st.StampCacheMisses = s.stamps.stats()
+	st.PledgeCacheHits, st.PledgeCacheMisses = s.pledges.stats()
 	return st
 }
 
@@ -95,7 +103,7 @@ func (s *Slave) Stats() SlaveStats {
 // charging the modelled cost of the work actually done: a full signature
 // verification on a miss, a cache lookup on a hit.
 func (s *Slave) verifyStamp(v *VersionStamp) error {
-	hit, err := s.stamps.verify(v, s.cfg.MasterPubs)
+	hit, err := s.stamps.verifyStamp(v, s.cfg.MasterPubs)
 	if err != nil {
 		return err
 	}
@@ -219,7 +227,7 @@ func (s *Slave) handleKeepAlive(from string, body []byte) ([]byte, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	if _, err := s.stamps.verify(&stamp, s.cfg.MasterPubs); err != nil {
+	if _, err := s.stamps.verifyStamp(&stamp, s.cfg.MasterPubs); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -509,7 +517,7 @@ func (s *Slave) syncFrom(masterAddr string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := s.stamps.verify(&stamp, s.cfg.MasterPubs); err != nil {
+	if _, err := s.stamps.verifyStamp(&stamp, s.cfg.MasterPubs); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -580,30 +588,26 @@ func (s *Slave) handleRead(body []byte) ([]byte, error) {
 		return nil, err
 	}
 
-	s.mu.Lock()
-	stamp := s.lastStamp
-	storeVersion := s.store.Version()
-	s.mu.Unlock()
-	// §3.1: a slave may handle requests only while its most recent
-	// keep-alive is younger than max_latency. The stamp must also match
-	// the replica's version exactly: pledging version v for a result
-	// computed at version v' != v would make an honest slave provably
-	// "malicious" at audit time.
-	if stamp.Sig == nil || stamp.Version != storeVersion ||
-		!stamp.Fresh(s.rt.Now(), s.cfg.Params.MaxLatency) {
-		s.mu.Lock()
-		s.stats.ReadsRefused++
-		s.mu.Unlock()
-		return nil, ErrStale
-	}
-
 	q, err := query.Decode(queryBytes)
 	if err != nil {
 		return nil, err
 	}
+
+	// §3.1: a slave may handle requests only while its most recent
+	// keep-alive is younger than max_latency. The stamp must also match
+	// the replica's version exactly: pledging version v for a result
+	// computed at version v' != v would make an honest slave provably
+	// "malicious" at audit time. The check and the execution share one
+	// hold of s.mu, so no update can land between them.
 	s.mu.Lock()
-	replica := s.store
-	res, err := q.Execute(replica)
+	stamp := s.lastStamp
+	if stamp.Sig == nil || stamp.Version != s.store.Version() ||
+		!stamp.Fresh(s.rt.Now(), s.cfg.Params.MaxLatency) {
+		s.stats.ReadsRefused++
+		s.mu.Unlock()
+		return nil, ErrStale
+	}
+	res, err := q.Execute(s.store)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -619,8 +623,14 @@ func (s *Slave) handleRead(body []byte) ([]byte, error) {
 	chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.HashCost(len(payload)))
 	hash := cryptoutil.HashBytes(payload)
 
-	chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.Sign)
-	pledge := SignPledge(s.cfg.Keys, queryBytes, hash, stamp)
+	// The same query answered under the same stamp yields byte-identical
+	// pledge bytes; the memo signs them once.
+	pledge, hit := s.pledges.signPledge(s.cfg.Keys, queryBytes, hash, stamp)
+	if hit {
+		chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.CacheLookup)
+	} else {
+		chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.Sign)
+	}
 	chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.SendReply)
 
 	s.mu.Lock()

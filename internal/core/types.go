@@ -91,19 +91,6 @@ func (v *VersionStamp) sign(master *cryptoutil.KeyPair) {
 	wire.PutWriter(w)
 }
 
-// cacheKey returns a digest binding the stamp's entire signed body AND
-// its signature. A verified-stamp cache keyed by it cannot be poisoned
-// by pairing a seen signature with a different body (the body is in the
-// key) or a seen body with a garbage signature (the signature is too).
-func (v *VersionStamp) cacheKey() cryptoutil.Digest {
-	w := wire.GetWriter()
-	v.appendSignedBytes(w)
-	w.Bytes_(v.Sig)
-	d := cryptoutil.HashBytes(w.Bytes())
-	wire.PutWriter(w)
-	return d
-}
-
 // SignStamp creates a keep-alive stamp for (version, ts) under the
 // master's key.
 func SignStamp(master *cryptoutil.KeyPair, version uint64, ts time.Time) VersionStamp {
@@ -361,13 +348,18 @@ func DecodeBatchUpdate(b []byte) (BatchUpdate, error) {
 
 // Verify checks the stamp against a set of trusted master keys.
 func (v *VersionStamp) Verify(trustedMasters []cryptoutil.PublicKey) error {
+	w := wire.GetWriter()
+	v.appendSignedBytes(w)
+	err := v.verifyBody(w.Bytes(), trustedMasters)
+	wire.PutWriter(w)
+	return err
+}
+
+// verifyBody is Verify over the stamp's already-encoded signed body.
+func (v *VersionStamp) verifyBody(body []byte, trustedMasters []cryptoutil.PublicKey) error {
 	for _, pub := range trustedMasters {
 		if bytes.Equal(pub, v.MasterPub) {
-			w := wire.GetWriter()
-			v.appendSignedBytes(w)
-			err := cryptoutil.Verify(v.MasterPub, w.Bytes(), v.Sig)
-			wire.PutWriter(w)
-			if err != nil {
+			if err := cryptoutil.Verify(v.MasterPub, body, v.Sig); err != nil {
 				return fmt.Errorf("%w: %v", ErrBadStamp, err)
 			}
 			return nil
@@ -452,9 +444,14 @@ func SignPledge(slave *cryptoutil.KeyPair, queryBytes []byte, resultHash cryptou
 func (p *Pledge) VerifySig() error {
 	w := wire.GetWriter()
 	p.appendSignedBytes(w)
-	err := cryptoutil.Verify(p.SlavePub, w.Bytes(), p.Sig)
+	err := p.verifyBody(w.Bytes())
 	wire.PutWriter(w)
-	if err != nil {
+	return err
+}
+
+// verifyBody is VerifySig over the pledge's already-encoded signed body.
+func (p *Pledge) verifyBody(body []byte) error {
+	if err := cryptoutil.Verify(p.SlavePub, body, p.Sig); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadPledge, err)
 	}
 	return nil

@@ -55,6 +55,13 @@ func (d *deployment) close() {
 
 func deploy(t *testing.T, nSlaves int, behaviors map[int]core.Behavior, mutMaster func(*core.MasterConfig)) *deployment {
 	t.Helper()
+	return deployWith(t, nSlaves, behaviors, nil, mutMaster)
+}
+
+// deployWith is deploy with a hook that adjusts the protocol parameters
+// every node shares before any node is built.
+func deployWith(t *testing.T, nSlaves int, behaviors map[int]core.Behavior, mutParams func(*core.Params), mutMaster func(*core.MasterConfig)) *deployment {
+	t.Helper()
 	rt := sim.RealClock{}
 	d := &deployment{
 		owner:  cryptoutil.DeriveKeyPair("owner", 0),
@@ -69,6 +76,9 @@ func deploy(t *testing.T, nSlaves int, behaviors map[int]core.Behavior, mutMaste
 	d.params.DoubleCheckP = 1.0
 	d.params.GreedyMinBurst = 1 << 30
 	d.params.ReadTimeout = 5 * time.Second
+	if mutParams != nil {
+		mutParams(&d.params)
+	}
 
 	// Directory.
 	dirServer := dirsrv.NewServer(d.owner.Public)

@@ -112,6 +112,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		go func() {
 			respBody, herr := s.h(from, method, body)
 			w := wire.GetWriter()
+			w.Uint32(0) // length prefix, patched by writeFrame
 			w.Uvarint(id)
 			w.Byte(frameResponse)
 			if herr != nil {
@@ -121,7 +122,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			}
 			w.Bytes_(respBody)
 			wmu.Lock()
-			writeFrame(conn, w.Bytes())
+			writeFrame(conn, w)
 			wmu.Unlock()
 			wire.PutWriter(w)
 		}()
@@ -144,13 +145,17 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
-func writeFrame(w io.Writer, payload []byte) error {
-	var lenbuf [4]byte
-	binary.BigEndian.PutUint32(lenbuf[:], uint32(len(payload)))
-	if _, err := w.Write(lenbuf[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+// frameHeader is the length prefix's size.
+const frameHeader = 4
+
+// writeFrame sends the frame encoded in w with one Write. The caller
+// reserves the length prefix by starting w with Uint32(0); writeFrame
+// patches it in. Writing prefix and payload separately would put two
+// segments on the wire per frame, since TCP no-delay is on.
+func writeFrame(dst io.Writer, w *wire.Writer) error {
+	buf := w.Bytes()
+	binary.BigEndian.PutUint32(buf[:frameHeader], uint32(len(buf)-frameHeader))
+	_, err := dst.Write(buf)
 	return err
 }
 
@@ -269,11 +274,12 @@ func (d *TCPDialer) CallTimeout(addr, method string, body []byte, timeout time.D
 	c.pending[id] = ch
 
 	w := wire.GetWriter()
+	w.Uint32(0) // length prefix, patched by writeFrame
 	w.Uvarint(id)
 	w.Byte(frameRequest)
 	w.String_(method)
 	w.Bytes_(body)
-	werr := writeFrame(c.conn, w.Bytes())
+	werr := writeFrame(c.conn, w)
 	wire.PutWriter(w)
 	c.mu.Unlock()
 	if werr != nil {
